@@ -110,6 +110,10 @@ void PrintUsage(const char* prog) {
   std::printf("  --mc-deal-window=N  deal harness: items the dealer takes per deal round (default 2)\n");
   std::printf("  --mc-broken-deal-window  fault mode: dealer drops the mailbox-refused tail\n");
   std::printf("                      of its window (no-lost-dealt-items cex)\n");
+  std::printf("  --mc-spawns=N       wakeup harness: children worker 0 spawns through the\n");
+  std::printf("                      gated spawn wakeup after its pushes (default 0)\n");
+  std::printf("  --mc-broken-spawn-gate  fault mode: parkers skip the re-check after\n");
+  std::printf("                      registering as parked (epoch-wakeup cex)\n");
   std::printf("  harness-specific flags are rejected (exit 2) when passed to a harness or\n");
   std::printf("  backend they do not apply to, instead of being silently ignored\n");
   std::printf("  --mc-bound=N        preemption bound for exhaustive mode (default 2)\n");
@@ -232,6 +236,9 @@ int RunMcExplore(int argc, char** argv) {
   const int deal_window = std::atoi(FlagValue(argc, argv, "mc-deal-window", "2").c_str());
   config.deal_window = deal_window >= 1 ? static_cast<uint32_t>(deal_window) : 2;
   config.broken_deal_window = HasFlag(argc, argv, "mc-broken-deal-window");
+  const int spawns = std::atoi(FlagValue(argc, argv, "mc-spawns", "0").c_str());
+  config.spawns = spawns >= 0 ? static_cast<uint32_t>(spawns) : 0;
+  config.broken_spawn_gate = HasFlag(argc, argv, "mc-broken-spawn-gate");
 
   // Harness- and backend-specific flags are rejected up front when they do
   // not apply to this run, rather than silently parsed into fields the
@@ -266,6 +273,8 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-mailbox", mailbox_mode, "the ingress, wakeup and deal harnesses"},
       {"mc-deal-window", deal_mode, "the deal harness"},
       {"mc-broken-deal-window", deal_mode, "the deal harness"},
+      {"mc-spawns", config.mode == "wakeup", "the wakeup harness"},
+      {"mc-broken-spawn-gate", config.spawns > 0, "the wakeup harness with --mc-spawns"},
       {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
   };
   for (const FlagScope& scoped : kScopedFlags) {

@@ -101,6 +101,8 @@ StealHarness::Config StealHarness::Config::FromSchedule(const Schedule& schedule
   config.broken_join_counter = schedule.broken_join_counter;
   config.deal_window = schedule.deal_window;
   config.broken_deal_window = schedule.broken_deal_window;
+  config.spawns = schedule.spawns;
+  config.broken_spawn_gate = schedule.broken_spawn_gate;
   return config;
 }
 
@@ -137,6 +139,16 @@ StealHarness::StealHarness(Config config)
     OPTSCHED_CHECK_MSG(!config_.broken_deal_window,
                        "broken_deal_window is a deal fault knob");
   }
+  if (config_.mode == "wakeup") {
+    OPTSCHED_CHECK_MSG(config_.spawns == 0 || config_.initial_loads[0] == 0,
+                       "wakeup spawns need initial_loads[0] == 0 (the spawning item "
+                       "must be alone in its queue)");
+    OPTSCHED_CHECK_MSG(config_.spawns > 0 || !config_.broken_spawn_gate,
+                       "broken_spawn_gate needs spawns > 0");
+  } else {
+    OPTSCHED_CHECK_MSG(config_.spawns == 0 && !config_.broken_spawn_gate,
+                       "spawns and broken_spawn_gate are wakeup knobs");
+  }
   const bool producer_mode = config_.mode == "ingress" || config_.mode == "wakeup";
   // Producer modes need at least one owner besides the producer (worker 0).
   OPTSCHED_CHECK_MSG(!producer_mode || config_.initial_loads.size() >= 2,
@@ -164,6 +176,9 @@ std::vector<std::function<void()>> StealHarness::MakeBodies() {
   initial_item_ids_.clear();
   epoch_ = 0;
   producer_done_ = false;
+  parked_ = 0;
+  spawns_left_ = 0;
+  first_spawn_id_ = ~0ull;  // set by SpawnPhase
   uint64_t next_id = 1;
   std::vector<WorkItem> seed;
   for (uint32_t q = 0; q < n; ++q) {
@@ -550,6 +565,9 @@ void StealHarness::WakeupProducerBody() {
     scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
     scheduler->Yield();
   }
+  if (config_.spawns > 0) {
+    SpawnPhase();
+  }
   // The executor's quit-path ordering: done becomes observable strictly
   // after the last push, then one final bump releases any owner that parked
   // between that push's bump and this flag flipping.
@@ -559,8 +577,46 @@ void StealHarness::WakeupProducerBody() {
   scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
 }
 
+void StealHarness::SpawnPhase() {
+  Scheduler* scheduler = ActiveScheduler();
+  runtime::ConcurrentRunQueue& own = machine_->queue(0);
+  // The spawning item: alone in its queue, so no steal can take it (a steal
+  // may never idle its victim) and the pop below always returns it.
+  const WorkItem parent{.id = next_ingress_id_++, .work_units = 1, .weight = 1024};
+  scheduler->Note(kUserTaskSpawn, static_cast<int64_t>(parent.id), 0);
+  own.PushBatchOwner(&parent, 1);
+  const std::optional<WorkItem> running = own.PopForRun();
+  OPTSCHED_CHECK(running.has_value() && running->id == parent.id);
+  scheduler->Note(kUserExecuteItem, static_cast<int64_t>(parent.id));
+  // Mid-item flush: SubmitFromWorker's owner push, then the gate — under
+  // the checker's sequentially consistent interleavings the executor's
+  // seq_cst fences are implicit.
+  first_spawn_id_ = next_ingress_id_;
+  std::vector<WorkItem> children;
+  for (uint32_t i = 0; i < config_.spawns; ++i) {
+    children.push_back(WorkItem{.id = next_ingress_id_++, .work_units = 1, .weight = 1024});
+  }
+  spawns_left_ = config_.spawns;
+  own.PushBatchOwner(children.data(), config_.spawns);
+  for (const WorkItem& child : children) {
+    scheduler->Note(kUserTaskSpawn, static_cast<int64_t>(child.id), 0);
+  }
+  scheduler->OnSync(SyncOp::kEpochLoad, &parked_);
+  if (parked_ != 0) {
+    scheduler->OnSync(SyncOp::kEpochBump, &epoch_);
+    ++epoch_;
+    scheduler->Note(kUserEpochBump, static_cast<int64_t>(epoch_));
+  }
+  // The item stays running until siblings have executed every child.
+  scheduler->BlockUntil(SyncOp::kTaskJoinLoad, &spawns_left_,
+                        [this] { return spawns_left_ == 0; });
+  own.FinishCurrent();
+}
+
 void StealHarness::WakeupWorkerBody(uint32_t worker) {
   Scheduler* scheduler = ActiveScheduler();
+  Rng rng(config_.seed * 0x9e3779b97f4a7c15ull + worker + 1);
+  const bool spawning = config_.spawns > 0;
   std::vector<WorkItem> drained;
   for (;;) {
     // WorkerMain's ordering contract in miniature: sample the wakeup word
@@ -588,12 +644,39 @@ void StealHarness::WakeupWorkerBody(uint32_t worker) {
       scheduler->Note(kUserExecuteItem, static_cast<int64_t>(item->id));
       scheduler->Yield();  // the item "runs" here
       machine_->queue(worker).FinishCurrent();
+      if (spawning && item->id >= first_spawn_id_) {
+        scheduler->OnSync(SyncOp::kTaskJoinDec, &spawns_left_);
+        --spawns_left_;
+      }
       progress = true;
     }
     if (progress) {
       continue;
     }
+    if (spawning) {
+      // Spawned children reach a sibling only by stealing.
+      const uint64_t stolen_before = counters_[worker].items_stolen;
+      StealOnce(worker, rng);
+      if (counters_[worker].items_stolen > stolen_before) {
+        continue;
+      }
+    }
     if (!producer_done_) {
+      if (spawning) {
+        // The parker's half of the spawn gate: register, then re-check
+        // with a fresh snapshot + filter and park only if it is empty.
+        scheduler->OnSync(SyncOp::kEpochBump, &parked_);
+        ++parked_;
+        if (!config_.broken_spawn_gate) {
+          const LoadSnapshot fresh = machine_->Snapshot();
+          const SelectionView view{.self = worker, .snapshot = fresh, .topology = &topology_};
+          if (!policy_->FilterCandidates(view).empty()) {
+            scheduler->OnSync(SyncOp::kEpochBump, &parked_);
+            --parked_;
+            continue;
+          }
+        }
+      }
       // Park on the top-of-loop sample. If any bump (push or quit kick)
       // happened after the sample the predicate is already true and this
       // wake is immediate — the lost-wakeup-free property under test.
@@ -601,6 +684,10 @@ void StealHarness::WakeupWorkerBody(uint32_t worker) {
       scheduler->BlockUntil(SyncOp::kEpochLoad, &epoch_,
                             [this, sample] { return epoch_ != sample; });
       scheduler->Note(kUserWake);
+      if (spawning) {
+        scheduler->OnSync(SyncOp::kEpochBump, &parked_);
+        --parked_;
+      }
       continue;
     }
     // done was set strictly after the producer's last push, so one more
@@ -663,6 +750,8 @@ Schedule StealHarness::MakeSchedule(const std::vector<uint32_t>& choices) const 
   schedule.broken_join_counter = config_.broken_join_counter;
   schedule.deal_window = config_.deal_window;
   schedule.broken_deal_window = config_.broken_deal_window;
+  schedule.spawns = config_.spawns;
+  schedule.broken_spawn_gate = config_.broken_spawn_gate;
   schedule.choices = choices;
   return schedule;
 }
@@ -711,7 +800,9 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
   }
 
   if (result.deadlock || result.step_limit_hit) {
-    add("termination", false,
+    // In "wakeup" mode every block is a park or the spawning item waiting
+    // on its children, so a deadlock is an owner that was never woken.
+    add(config_.mode == "wakeup" && result.deadlock ? "epoch-wakeup" : "termination", false,
         result.deadlock ? result.deadlock_note : "decision-step limit hit");
     return reports;
   }
@@ -787,7 +878,7 @@ std::vector<PropertyReport> StealHarness::Evaluate(const ExecutionResult& result
       seen.push_back(static_cast<uint64_t>(event.arg0));
     } else if (ingress_mode && event.user_kind == kUserMailboxPush) {
       expected.push_back(static_cast<uint64_t>(event.arg0));
-    } else if (forkjoin_mode && event.user_kind == kUserTaskSpawn) {
+    } else if ((forkjoin_mode || wakeup_mode) && event.user_kind == kUserTaskSpawn) {
       expected.push_back(static_cast<uint64_t>(event.arg0));
     }
   }

@@ -25,6 +25,16 @@
 //     sample predates any unseen notify. Discharges that a notify landing
 //     between an owner's last drain and its park can neither deadlock the
 //     owner nor strand the pushed item (wakeup-no-stranded-items).
+//     With `spawns` > 0 it also models the executor's gated SPAWN wakeup:
+//     after its pushes worker 0 runs one item that flushes `spawns` children
+//     onto its own queue, reads the parked count and bumps the epoch only
+//     when it is nonzero (SubmitFromWorker). The item stays running until
+//     siblings have executed every child, so only a steal can finish them.
+//     Owners steal when idle, and before parking register in the parked
+//     count and re-run a fresh snapshot + filter, parking only if it is
+//     empty. A child the gate fails to announce leaves an owner parked
+//     forever beside the blocked spawner: the deadlock reports as
+//     epoch-wakeup.
 //   * "deal"    — proactive work-dealing end to end: worker 0 is the DEALER,
 //     seeded heavy; it pops/executes its own queue and, while its task count
 //     exceeds the deal threshold and an idle peer exists, takes up to
@@ -80,7 +90,8 @@
 //                       the structural count held under the lock: no batched
 //                       operation may leave the published depth stale.
 //   epoch-wakeup      — no deadlock, and every park is followed by a wake
-//                       after an epoch bump.
+//                       after an epoch bump. In "wakeup" mode a deadlock
+//                       reports under this name: a parked owner never woke.
 //   wakeup-no-stranded-items — "wakeup" mode: at termination every mailbox is
 //                       empty; an owner may exit only after observing the
 //                       producer done AND re-checking its mailbox.
@@ -178,6 +189,15 @@ class StealHarness {
     // instead of returning it to the dealer's queue — items lost in transit
     // (no-lost-dealt-items).
     bool broken_deal_window = false;
+    // "wakeup" mode: children worker 0 spawns onto its own queue through the
+    // gated spawn wakeup after its mailbox pushes (0 = no spawn phase).
+    // Requires initial_loads[0] == 0: the spawning item must be alone in
+    // its queue, where no steal may take it.
+    uint32_t spawns = 0;
+    // Fault knob ("wakeup", spawns > 0): owners skip the re-check after
+    // registering as parked, so a spawn flushed between their last steal
+    // attempt and the registration is never announced (epoch-wakeup).
+    bool broken_spawn_gate = false;
 
     static Config FromSchedule(const Schedule& schedule);
   };
@@ -216,6 +236,9 @@ class StealHarness {
   // (NotifyIngress); owners park on the epoch exactly like WorkerMain.
   void WakeupProducerBody();
   void WakeupWorkerBody(uint32_t worker);
+  // "wakeup" mode, spawns > 0: worker 0 runs one item that spawns onto its
+  // own queue and stays running until siblings have executed every child.
+  void SpawnPhase();
   // "forkjoin" mode: pop/run task bodies (spawning onto the own queue),
   // steal when empty, exit when the graph is done or the budget is spent.
   void ForkJoinBody(uint32_t worker);
@@ -233,6 +256,11 @@ class StealHarness {
   std::vector<uint64_t> initial_item_ids_;
   // The escalation/wakeup epoch word for "epoch" and "wakeup" modes.
   std::uint64_t epoch_ = 0;
+  // "wakeup" mode, spawns > 0: the executor's parked_workers_ and the
+  // spawned children not yet executed (the spawning item waits on it).
+  std::uint64_t parked_ = 0;
+  std::uint64_t spawns_left_ = 0;
+  uint64_t first_spawn_id_ = 0;
   // "wakeup" mode: set by the producer strictly after its last push, then
   // followed by one final epoch bump (the executor's quit-path ordering).
   bool producer_done_ = false;

@@ -211,6 +211,12 @@ std::string Schedule::ToJson() const {
     out += std::string(",\n  \"broken_deal_window\": ") +
            (broken_deal_window ? "true" : "false");
   }
+  // Wakeup-only fields, same rule.
+  if (harness == "wakeup") {
+    out += StrFormat(",\n  \"spawns\": %u", spawns);
+    out += std::string(",\n  \"broken_spawn_gate\": ") +
+           (broken_spawn_gate ? "true" : "false");
+  }
   out += ",\n  \"property\": ";
   AppendEscaped(out, property);
   out += ",\n  \"note\": ";
@@ -273,6 +279,11 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
     schedule.deal_window = static_cast<uint32_t>(deal_window);
   }
   scanner.GetBool("broken_deal_window", schedule.broken_deal_window);
+  int64_t spawns = 0;
+  if (scanner.GetInt("spawns", spawns) && spawns >= 0) {
+    schedule.spawns = static_cast<uint32_t>(spawns);
+  }
+  scanner.GetBool("broken_spawn_gate", schedule.broken_spawn_gate);
   scanner.GetString("property", schedule.property);
   scanner.GetString("note", schedule.note);
   std::vector<int64_t> choices;

@@ -62,6 +62,12 @@ struct Schedule {
   // window instead of returning it to its own queue — the lost-in-transit
   // bug no-lost-dealt-items exists to catch.
   bool broken_deal_window = false;
+  // "wakeup" harness: children spawned through the gated spawn wakeup, and
+  // the fault mode whose parkers skip the post-registration re-check (see
+  // StealHarness::Config). Absent in earlier golden files; FromJson
+  // defaults to 0 / false.
+  uint32_t spawns = 0;
+  bool broken_spawn_gate = false;
   // The violated property ("" when the schedule is not a counterexample).
   std::string property;
   std::string note;

@@ -266,7 +266,8 @@ Executor::Executor(std::shared_ptr<const BalancePolicy> policy, const ExecutorCo
                MachineOptions{.backend = config.backend,
                               .deque_capacity = config.chase_lev_capacity}),
       deal_policy_(config.deal),
-      deal_in_flight_(config.num_workers) {
+      deal_in_flight_(config.num_workers),
+      credit_(std::make_unique<WorkerCredit[]>(config.num_workers)) {
   OPTSCHED_CHECK(policy_ != nullptr);
   OPTSCHED_CHECK(config_.num_workers > 0);
   OPTSCHED_CHECK(config_.max_backoff_spins >= 1);
@@ -307,35 +308,68 @@ void Executor::Submit(uint32_t queue_index, const WorkItem& item) {
   wakeup_epoch_.fetch_add(1, std::memory_order_release);
 }
 
-// Ordering contract for remaining_items_, shared by Submit and SubmitBatch
-// (they used to disagree — Submit released, the batch path was relaxed):
+// Ordering contract for remaining_items_ (termination) and wakeup_epoch_
+// (parking):
 //
-//  * The count is bumped BEFORE any item of the batch becomes poppable.
-//    Workers only decrement after executing an item, and an executed item was
-//    necessarily pushed after its increment, so the counter can never read 0
-//    while an unexecuted item sits in a queue — keep_running()'s acquire load
-//    observing 0 really means "drained", and closed-system Run() cannot
-//    terminate early. (The old push-then-add order let a fast worker
-//    decrement before the producer's add, transiently wrapping the counter.)
-//  * memory_order_release on the add pairs with the acquire load in
-//    keep_running(): a worker that observes the new count also observes
-//    everything the producer wrote before submitting. Item payload visibility
-//    itself rides on the queue SpinLock (release on unlock, acquire on lock);
-//    the counter's release is what orders producer-side writes *outside* the
-//    queue for workers that act on the count without touching the queue yet.
+//  * remaining_items_ never reads below the true number of outstanding items.
+//    Every submission path counts its items BEFORE any of them becomes
+//    poppable — external submitters add to the counter with release, owners
+//    (CountOwnerSubmit) first net the count against their own unflushed
+//    credit, which is already in the counter, and add only the surplus.
+//    Executing an item only bumps the worker's own credit slot (`done`);
+//    the credit reaches the counter as one acq_rel fetch_sub when
+//    the worker's queue comes back empty, before a crash-seam exit and at
+//    loop exit. So the counter can only over-count, by unflushed credit, and
+//    keep_running()'s acquire load observing 0 really means "drained":
+//    closed-system Run() cannot terminate early, and after every worker has
+//    joined the counter is exact (items_left_unexecuted).
+//  * The release on every add and the acq_rel flush pair with the acquire
+//    load in keep_running(): a worker that observes a count also observes
+//    everything written before it was published. Item payload visibility
+//    itself rides on the queue push (lock release or deque bottom store).
+//  * Submit, SubmitBatch, NotifyIngress and the deal direct spill bump
+//    wakeup_epoch_ after the push, unconditionally. A spawn flush bumps only
+//    when parked_workers_ is nonzero: it pushes, fences (seq_cst), then
+//    reads parked_workers_, while a worker about to park increments it,
+//    fences, then re-runs a fresh snapshot + filter and parks only if that
+//    comes back empty. Of two store-then-fence-then-load sequences at least
+//    one load sees the other store, so either the parker's re-check finds
+//    the spawned items or the spawner sees the registration and bumps an
+//    epoch the parker sampled before it.
 void Executor::SubmitBatch(uint32_t queue_index, const std::vector<WorkItem>& items) {
   OPTSCHED_CHECK(queue_index < machine_.num_queues());
   if (items.empty()) {
     return;
   }
-  submitted_items_.fetch_add(items.size(), std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(items.size(), std::memory_order_release);
-  for (const WorkItem& item : items) {
-    machine_.queue(queue_index).Push(item);
-  }
-  // One wakeup bump per batch, after the last push (see Submit).
+  OPTSCHED_CHECK(items.size() <= UINT32_MAX);
+  const uint32_t count = static_cast<uint32_t>(items.size());
+  submitted_items_.fetch_add(count, std::memory_order_relaxed);  // order: reporting-counter
+  remaining_items_.fetch_add(count, std::memory_order_release);
+  // One lock for the whole batch — the deal spill's landing path — instead
+  // of one Push (lock + counter updates) per item.
+  machine_.queue(queue_index).PushBatchExternal(items.data(), count);
+  // One wakeup bump per batch, after the push (see Submit).
   mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
   wakeup_epoch_.fetch_add(1, std::memory_order_release);
+}
+
+void Executor::CountOwnerSubmit(uint32_t worker, uint64_t count) {
+  WorkerCredit& credit = credit_[worker];
+  credit.spawned += count;
+  if (count <= credit.done) {
+    credit.done -= count;
+    return;
+  }
+  remaining_items_.fetch_add(count - credit.done, std::memory_order_release);
+  credit.done = 0;
+}
+
+void Executor::FlushCredit(uint32_t worker) {
+  WorkerCredit& credit = credit_[worker];
+  if (credit.done != 0) {
+    remaining_items_.fetch_sub(credit.done, std::memory_order_acq_rel);
+    credit.done = 0;
+  }
 }
 
 // The spawn seam is on the D7 allocation-free budget: a worker flushing its
@@ -347,22 +381,23 @@ OPTSCHED_HOT_PATH void Executor::SubmitFromWorker(uint32_t worker, const WorkIte
   if (count == 0) {
     return;
   }
-  // Same ordering contract as SubmitBatch: the count is bumped BEFORE any
-  // item becomes poppable. The caller is a worker mid-item, so its own
-  // pending decrement (applied after RunItem returns) additionally keeps the
-  // counter positive throughout — a fired continuation can never be the race
-  // that lets closed-system Run() observe a transient 0.
-  submitted_items_.fetch_add(count, std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(count, std::memory_order_release);
+  // Counted before any item becomes poppable. The caller is a worker
+  // mid-item, and that item is still counted, so the counter stays positive
+  // throughout — a fired continuation can never be the race that lets
+  // closed-system Run() observe a transient 0.
+  CountOwnerSubmit(worker, count);
   // Owner push path: deque bottom on chase_lev (lock-free, stealable from
   // the top), the queue lock on locked — never the external-submit inbox.
   machine_.queue(worker).PushBatchOwner(items, count);
-  // One wakeup bump per flush, after the last push (see Submit): siblings
-  // parked through the spawn burst re-run their steal filter and find the
-  // new subtree. Batching amortizes the bump — one epoch RMW per
-  // kSpawnBatch spawns, not per task.
-  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
-  wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  // The spawner's half of the parking handshake (ordering note above):
+  // siblings registered as parked get one bump per flush and re-run their
+  // steal filter; with nobody parked the flush writes no shared line.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochLoad, &parked_workers_);
+  if (parked_workers_.load(std::memory_order_seq_cst) != 0) {
+    mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &wakeup_epoch_);
+    wakeup_epoch_.fetch_add(1, std::memory_order_release);
+  }
 }
 
 void Executor::NotifyIngress(uint32_t /*worker*/) {
@@ -381,14 +416,13 @@ uint32_t Executor::DrainIngress(uint32_t worker, WorkerStats& stats,
   if (moved == 0) {
     return 0;
   }
-  // Same ordering contract as SubmitBatch: the remaining-items count is
-  // bumped before any drained item becomes poppable. (Between the mailbox
-  // removal and this bump the items are in neither PendingFor nor the
-  // count — that window is one drain long and only defers the watchdog's
-  // pending view by a round, it cannot terminate a run early because ingress
-  // requires deadline mode.)
-  submitted_items_.fetch_add(moved, std::memory_order_relaxed);  // order: reporting-counter
-  remaining_items_.fetch_add(moved, std::memory_order_release);
+  // Owner context, so the spawn path's netted count applies: counted before
+  // any drained item becomes poppable. (Between the mailbox removal and
+  // this count the items are in neither PendingFor nor the count — that
+  // window is one drain long and only defers the watchdog's pending view by
+  // a round, it cannot terminate a run early because ingress requires
+  // deadline mode.)
+  CountOwnerSubmit(worker, moved);
   // Backend-neutral owner append: the queue lock on kLocked, a lock-free
   // bottom push (inbox spill on overflow) on kChaseLev.
   machine_.queue(worker).PushBatchOwner(batch.data(), moved);
@@ -542,6 +576,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
                                             trace::SpscTraceRing* ring) {
   Rng rng(config_.seed * 1000003 + worker_index);
   ConcurrentRunQueue& own = machine_.queue(worker_index);
+  WorkerCredit& credit = credit_[worker_index];
   fault::FaultInjector* injector = injector_.get();
   IngressSource* ingress = config_.ingress;
   TaskRunner* task_runner = config_.task_runner;
@@ -653,6 +688,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
     // between scheduling decisions, so the shared queues stay consistent and
     // the supervisor can respawn this slot without losing work.
     if (injector != nullptr && injector->CrashWorker(worker_index)) {
+      FlushCredit(worker_index);
       ++stats.crashes;
       if (ring != nullptr) {
         ring->TryPush({.time = trace_now_us(), .type = trace::EventType::kCrash,
@@ -681,7 +717,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
         const uint64_t now = NowNs();
         stats.sojourn_ns.Add(now > item->arrival_ns ? now - item->arrival_ns : 0);
       }
-      remaining_items_.fetch_sub(1, std::memory_order_acq_rel);
+      ++credit.done;  // reaches remaining_items_ at the next FlushCredit
       fruitless = 0;
       backoff_spins = 0;
       // Sustained-load drain cadence: a never-empty runqueue must not starve
@@ -707,6 +743,9 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
       continue;
     }
+    // The queue came back empty: settle this worker's credit before it looks
+    // elsewhere, so an idle worker never holds the count above zero.
+    FlushCredit(worker_index);
     // Round boundary (queue empty): dealt items beat stolen items — they
     // are already ours, pushed here precisely because we looked idle.
     if (dealing && config_.deal_sink->DealtPendingFor(worker_index) > 0) {
@@ -803,7 +842,26 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       if (config_.backoff_jitter && spins >= 2) {
         spins = spins / 2 + rng.NextBelow(spins / 2 + 1);  // uniform in [s/2, s]
       }
-      if (ring != nullptr) {
+      // The parker's half of the spawn-wakeup handshake (ordering note at
+      // SubmitBatch): register, fence, then re-check with a FRESH lock-free
+      // snapshot — never the stale-snapshot fault view or the D3 locked
+      // one — and park only if the filter is still empty. Spawns reach a
+      // sibling only by stealing, so with steals off there is nothing for
+      // the gate to announce and the worker parks unregistered.
+      bool work_visible = false;
+      if (config_.steal_enabled) {
+        mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &parked_workers_);
+        parked_workers_.fetch_add(1, std::memory_order_seq_cst);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        machine_.SnapshotInto(snapshot);
+        policy_->FilterCandidatesInto(
+            SelectionView{.self = worker_index, .snapshot = snapshot, .topology = topology_},
+            steal_scratch.candidates);
+        work_visible = !steal_scratch.candidates.empty();
+      }
+      if (work_visible) {
+        backoff_spins = 0;
+      } else if (ring != nullptr) {
         const uint64_t park_start = NowNs();
         park(spins, wakeup_before);
         ring->TryPush({.time = (park_start - run_start_ns_) / 1000,
@@ -812,6 +870,10 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       } else {
         park(spins, wakeup_before);
       }
+      if (config_.steal_enabled) {
+        mc_hooks::SyncPoint(mc_hooks::SyncOp::kEpochBump, &parked_workers_);
+        parked_workers_.fetch_sub(1, std::memory_order_relaxed);  // order: park-deregister
+      }
       if (backoff_spins >= config_.max_backoff_spins) {
         // At the cap: hand the OS a scheduling opportunity between parks.
         std::this_thread::yield();
@@ -819,6 +881,7 @@ OPTSCHED_HOT_PATH void Executor::WorkerMain(uint32_t worker_index, WorkerStats& 
       }
     }
   }
+  FlushCredit(worker_index);
   state.store(kDone, std::memory_order_release);
 }
 
@@ -833,6 +896,11 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   stop_.store(false, std::memory_order_release);
   escalation_epoch_.store(0, std::memory_order_release);
   wakeup_epoch_.store(0, std::memory_order_release);
+  // Every worker flushed its `done` on the way out of the last run; only
+  // the per-run `spawned` tallies need clearing.
+  for (uint32_t i = 0; i < config_.num_workers; ++i) {
+    credit_[i] = WorkerCredit{};
+  }
   injector_ = config_.fault_plan.any()
                   ? std::make_unique<fault::FaultInjector>(config_.fault_plan, config_.num_workers)
                   : nullptr;
@@ -1002,6 +1070,9 @@ ExecutorReport Executor::RunInternal(uint64_t duration_ms,
   report.seqlock_read_retries = machine_.TotalSeqlockReadRetries() - seqlock_retries_at_start;
   // order: reporting-counter
   report.total_items = submitted_items_.load(std::memory_order_relaxed);
+  for (uint32_t i = 0; i < config_.num_workers; ++i) {
+    report.total_items += credit_[i].spawned;
+  }
   report.items_left_unexecuted =
       // order: teardown-quiesced
       deadline_mode_ ? remaining_items_.load(std::memory_order_relaxed) : 0;

@@ -281,16 +281,18 @@ class Executor {
 
   // Thread-safe batch submission: bumps the remaining-item count ONCE for the
   // whole batch, before any item becomes poppable (see the ordering note at
-  // the definition), then pushes every item under the queue lock.
+  // the definition), then lands the batch with one external push (one queue
+  // or inbox lock for the whole batch) and one wakeup bump.
   void SubmitBatch(uint32_t queue_index, const std::vector<WorkItem>& items);
 
   // Worker-context batch submission — the spawn seam (docs/tasks.md). Must be
   // called from worker `worker`'s own thread while it is executing an item:
   // the batch lands on the worker's OWN runqueue through the owner push path
   // (deque bottom on chase_lev, so recursive decomposition stays on the
-  // allocation-free hot path and stays stealable), with the same
-  // count-before-poppable ordering as SubmitBatch and one wakeup bump per
-  // flush so parked siblings come looking for the new work.
+  // allocation-free hot path and stays stealable). The count is netted
+  // against the worker's unflushed termination credit, so a spawn usually
+  // touches no shared counter, and the wakeup epoch is bumped only when some
+  // sibling is registered as parked (the ordering note at the definition).
   void SubmitFromWorker(uint32_t worker, const WorkItem* items, uint32_t count);
 
   // True once the run deadline passed; producers should poll this and return.
@@ -328,6 +330,12 @@ class Executor {
   // scratch. Returns items moved.
   uint32_t DrainIngress(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
                         trace::SpscTraceRing* ring);
+  // Owner-context count for `count` new items about to land on `worker`'s
+  // own queue: nets them against the worker's unflushed credit and adds
+  // only the surplus to remaining_items_. Call before the items are pushed.
+  void CountOwnerSubmit(uint32_t worker, uint64_t count);
+  // Applies `worker`'s unflushed execution credit to remaining_items_.
+  void FlushCredit(uint32_t worker);
   // One dealer-side deal round for `worker` (docs/runtime.md#work-dealing):
   // window check, threshold check, recipient pick, take-push-place. `batch`
   // and `pending_scratch` are the worker's reusable scratch buffers;
@@ -362,13 +370,27 @@ class Executor {
   std::unique_ptr<fault::FaultInjector> injector_;
   // Per-run trace rings (workers 0..n-1, supervisor lane n); null when off.
   std::unique_ptr<trace::TraceCollector> collector_;
-  // Queued-but-unexecuted items; drives closed-system termination.
+  // Per-worker termination credit, written only by its worker's thread (a
+  // respawned worker inherits the slot; the supervisor's join orders the
+  // hand-over) and read by RunInternal after every worker has joined. One
+  // cache line each, so owners never share a line.
+  struct alignas(kCacheLineSize) WorkerCredit {
+    // Items executed whose decrement is not yet applied to remaining_items_.
+    uint64_t done = 0;
+    // Items this worker submitted to its own queue this run (spawns and
+    // ingress drains); added to submitted_items_ for the report.
+    uint64_t spawned = 0;
+  };
+  std::unique_ptr<WorkerCredit[]> credit_;
+  // Queued-but-unexecuted items plus the workers' unflushed credit; drives
+  // closed-system termination. Never below the true outstanding count, so
+  // reading 0 means drained.
   // optsched-lint: allow(mc-hook-coverage): termination bookkeeping — the mc harness drives ConcurrentMachine directly and owns termination
   std::atomic<uint64_t> remaining_items_{0};
-  // Items submitted toward the CURRENT (or next) run's total: Seed/Submit add
-  // here, and each run finishes by resetting it to the leftover queue depth —
-  // so a reused instance never reports a stale count (it used to report the
-  // cumulative seeded total forever).
+  // Items submitted from outside the workers toward the CURRENT (or next)
+  // run's total: Seed/Submit add here, and each run finishes by resetting it
+  // to the leftover queue depth — so a reused instance never reports a stale
+  // count (it used to report the cumulative seeded total forever).
   // optsched-lint: allow(mc-hook-coverage): reporting counter, never a scheduling decision input
   std::atomic<uint64_t> submitted_items_{0};
   // optsched-lint: allow(mc-hook-coverage): deadline-mode stop flag — wall-clock deadlines do not exist under the checker
@@ -377,7 +399,8 @@ class Executor {
   // backoff when they observe a new epoch.
   // mc: kEpochLoad, kEpochBump
   std::atomic<uint64_t> escalation_epoch_{0};
-  // Bumped by Submit/SubmitBatch/NotifyIngress AFTER the new work is
+  // Bumped by Submit/SubmitBatch/NotifyIngress (and by a spawn flush while a
+  // worker is registered in parked_workers_) AFTER the new work is
   // visible. Each worker samples it at the TOP of its loop — before the last
   // empty re-check of its queue, its mailbox and the steal filter — and a
   // park bails as soon as the sampled value goes stale. This closes the
@@ -387,6 +410,13 @@ class Executor {
   // until the park expired (regression: executor_wakeup_test).
   // mc: kEpochLoad, kEpochBump
   std::atomic<uint64_t> wakeup_epoch_{0};
+  // Workers registered as about to park (or parked). A spawn flush bumps
+  // wakeup_epoch_ only while this is nonzero; registration and the spawn
+  // push each fence before reading the other side's state, so a parker's
+  // re-check sees the spawn or the spawner sees the parker. Own line: every
+  // spawn flush reads it.
+  // mc: kEpochLoad, kEpochBump
+  alignas(kCacheLineSize) std::atomic<uint32_t> parked_workers_{0};
   bool deadline_mode_ = false;
   // Wall-clock origin of the current run; trace timestamps are relative μs.
   uint64_t run_start_ns_ = 0;

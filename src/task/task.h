@@ -198,8 +198,9 @@ class TaskGraph : public runtime::TaskRunner {
 // holding back runnable work).
 class TaskContext {
  public:
-  // Spawns per sink flush: one SubmitFromWorker (count bump + owner pushes +
-  // one wakeup bump) amortized over up to this many tasks.
+  // Spawns per sink flush: one SubmitFromWorker (netted count + owner pushes
+  // + a wakeup bump only while a sibling is parked) amortized over up to
+  // this many tasks.
   static constexpr uint32_t kSpawnBatch = 8;
 
   uint32_t worker() const { return worker_; }

@@ -25,11 +25,38 @@
 #include "src/ingress/deal_channel.h"
 #include "src/ingress/mailbox.h"
 #include "src/runtime/executor.h"
+#include "src/task/task.h"
+#include "src/workload/forkjoin.h"
 
 namespace optsched {
 namespace {
 
 using namespace std::chrono_literals;
+
+// Fork-join bodies for the spawn-wakeup test: the root sleeps until every
+// sibling is deep in its park, then forks kWideChildren spinning leaves onto
+// its own queue. Only the gated spawn wakeup can bring the siblings back in
+// time to take any of them.
+constexpr uint32_t kWideChildren = 64;
+
+void SpinLeaf(task::TaskContext& /*ctx*/, task::TaskNode& self) {
+  volatile uint64_t sink = 0;
+  for (uint64_t i = 0; i < self.env[0]; ++i) {
+    sink = sink + i;
+  }
+}
+
+void NoopJoin(task::TaskContext& /*ctx*/, task::TaskNode& /*self*/) {}
+
+void ForkAfterSiblingsPark(task::TaskContext& ctx, task::TaskNode& /*self*/) {
+  std::this_thread::sleep_for(60ms);
+  task::TaskNode& join = ctx.ForkN(NoopJoin, kWideChildren);
+  for (uint32_t i = 0; i < kWideChildren; ++i) {
+    task::TaskNode& child = ctx.NewChild(SpinLeaf, join);
+    child.env[0] = 200'000;
+    ctx.Spawn(child);
+  }
+}
 
 runtime::ExecutorConfig DeepParkConfig() {
   runtime::ExecutorConfig config;
@@ -155,6 +182,104 @@ TEST_P(ExecutorWakeupBackend, SingleNotifyOnParkEdgeIsNotStranded) {
   EXPECT_EQ(executed, admitted.load());
   EXPECT_EQ(report.items_left_unexecuted, 0u);
   EXPECT_EQ(mailboxes.TotalPending(), 0);
+}
+
+TEST_P(ExecutorWakeupBackend, SpawnDuringDeepParkIsNotLost) {
+  // A spawn flush bumps the wakeup epoch only while some worker is
+  // registered as parked. Here all three siblings are deep in 2^22+ spin
+  // parks when the root forks, so the gate must see them and bump: if the
+  // wakeup were lost, worker 0 would run every child alone before any
+  // sibling's park expired.
+  runtime::ExecutorConfig config = DeepParkConfig();
+  config.backend = GetParam();
+  task::TaskGraph graph(task::TaskGraphOptions{.max_workers = config.num_workers});
+  config.task_runner = &graph;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+
+  executor.Seed(0, {graph.ItemFor(graph.NewRoot(ForkAfterSiblingsPark))});
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+
+  EXPECT_TRUE(graph.done());
+  // Root + children + the join continuation.
+  EXPECT_EQ(report.total_items, kWideChildren + 2);
+  uint64_t sibling_items = 0;
+  uint64_t submit_wakeups = 0;
+  for (uint32_t w = 0; w < config.num_workers; ++w) {
+    submit_wakeups += report.workers[w].submit_wakeups;
+    if (w != 0) {
+      sibling_items += report.workers[w].items_executed;
+    }
+  }
+  EXPECT_GT(sibling_items, 0u);
+  EXPECT_GT(submit_wakeups, 0u);
+}
+
+TEST_P(ExecutorWakeupBackend, ClosedForkJoinTerminatesThroughCrashes) {
+  // Termination credit under crash-and-restart: a worker that dies at the
+  // loop top flushes its credit first, so the count still reaches zero and
+  // Run() returns, and every item — seeded or spawned — is counted once.
+  runtime::ExecutorConfig config;
+  config.num_workers = 4;
+  config.backend = GetParam();
+  config.chase_lev_capacity = 4096;
+  config.fault_plan.crash_rate = 0.01;
+  config.fault_plan.crash_restart_us = 100;
+  config.fault_plan.seed = 3;
+  task::TaskGraph graph(task::TaskGraphOptions{.max_workers = config.num_workers});
+  config.task_runner = &graph;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+
+  uint64_t result = 0;
+  executor.Seed(0, {workload::MakeFibRoot(graph, 20, 8, &result)});
+  const runtime::ExecutorReport report = executor.Run();
+  SCOPED_TRACE(report.ToString());
+
+  EXPECT_EQ(result, 6765u);
+  EXPECT_GT(report.faults.crashes, 0u);
+  uint64_t executed = 0;
+  for (const auto& w : report.workers) {
+    executed += w.items_executed;
+  }
+  EXPECT_EQ(report.total_items, executed);
+  EXPECT_EQ(report.items_left_unexecuted, 0u);
+}
+
+TEST_P(ExecutorWakeupBackend, ReusedRunForReportsExactLeftovers) {
+  // Workers stopped by the deadline mid-queue still hold unflushed credit;
+  // the exit flush must make items_left_unexecuted exact, and the next run
+  // must execute exactly those leftovers.
+  runtime::ExecutorConfig config;
+  config.num_workers = 4;
+  config.backend = GetParam();
+  config.spin_per_unit = 50;
+  runtime::Executor executor(policies::MakeThreadCount(), config);
+  constexpr uint64_t kItems = 50'000;
+  std::vector<runtime::WorkItem> items;
+  for (uint64_t id = 0; id < kItems; ++id) {
+    items.push_back({.id = id, .work_units = 100, .weight = 1024});
+  }
+  executor.Seed(0, items);
+
+  const runtime::ExecutorReport first = executor.RunFor(/*duration_ms=*/20);
+  uint64_t executed = 0;
+  for (const auto& w : first.workers) {
+    executed += w.items_executed;
+  }
+  SCOPED_TRACE(first.ToString());
+  EXPECT_EQ(first.total_items, kItems);
+  ASSERT_GT(first.items_left_unexecuted, 0u) << "the deadline must cut the run short";
+  // An over-count here would also wedge the closed Run() below.
+  ASSERT_EQ(first.items_left_unexecuted, kItems - executed);
+
+  const runtime::ExecutorReport second = executor.Run();
+  uint64_t executed_second = 0;
+  for (const auto& w : second.workers) {
+    executed_second += w.items_executed;
+  }
+  EXPECT_EQ(second.total_items, first.items_left_unexecuted);
+  EXPECT_EQ(executed_second, first.items_left_unexecuted);
+  EXPECT_EQ(second.items_left_unexecuted, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

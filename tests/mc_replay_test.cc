@@ -107,6 +107,18 @@ TEST(ReplayTest, ScheduleCarriesHarnessIdentity) {
   EXPECT_EQ(round.recheck, config.recheck);
 }
 
+TEST(ScheduleJsonTest, WakeupSpawnFieldsRoundTrip) {
+  Schedule schedule;
+  schedule.harness = "wakeup";
+  schedule.initial_loads = {0, 0};
+  schedule.spawns = 3;
+  schedule.broken_spawn_gate = true;
+  schedule.choices = {0, 1};
+  const std::optional<Schedule> parsed = Schedule::FromJson(schedule.ToJson());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(*parsed, schedule);
+}
+
 TEST(ReplayGoldenTest, CommittedBrokenCounterexampleStillViolates) {
   MC_SKIP_UNDER_TSAN();
   const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_minimized.json";
@@ -277,6 +289,63 @@ TEST(ReplayGoldenTest, HealthyDealerSurvivesTheDealGoldenSchedule) {
   }
 }
 
+TEST(ReplayGoldenTest, CommittedBrokenSpawnGateStillStrandsAParkedOwner) {
+  MC_SKIP_UNDER_TSAN();
+  // The gated spawn wakeup without the parker's re-check: worker 0 spawns
+  // while the owner is between its last steal attempt and its parked
+  // registration, reads zero parked workers and skips the bump; the owner
+  // then registers and parks on an epoch nobody will move, beside a spawner
+  // whose item waits for a sibling to run its children.
+  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_spawn_gate.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string content = buffer.str();
+
+  const std::optional<Schedule> schedule = Schedule::FromJson(content);
+  ASSERT_TRUE(schedule.has_value());
+  EXPECT_EQ(schedule->ToJson(), content);
+  EXPECT_EQ(schedule->harness, "wakeup");
+  EXPECT_TRUE(schedule->broken_spawn_gate);
+  EXPECT_EQ(schedule->property, "epoch-wakeup");
+
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  EXPECT_EQ(result.choices, schedule->choices);
+  EXPECT_TRUE(result.deadlock);
+
+  bool violated = false;
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    if (report.name == "epoch-wakeup" && !report.holds) {
+      violated = true;
+    }
+  }
+  EXPECT_TRUE(violated) << "golden counterexample no longer violates epoch-wakeup";
+}
+
+TEST(ReplayGoldenTest, HealthySpawnGateSurvivesTheGoldenSchedule) {
+  MC_SKIP_UNDER_TSAN();
+  // The same schedule with the re-check restored is clean: the owner's
+  // fresh filter after registering sees the spawned children, so the
+  // violation is pinned on the skipped re-check.
+  const std::string path = std::string(MC_GOLDEN_DIR) + "/mc_broken_spawn_gate.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  std::optional<Schedule> schedule = Schedule::FromJson(buffer.str());
+  ASSERT_TRUE(schedule.has_value());
+  schedule->broken_spawn_gate = false;
+
+  StealHarness harness(StealHarness::Config::FromSchedule(*schedule));
+  const ExecutionResult result = ReplayChoices(harness.Factory(), schedule->choices);
+  EXPECT_FALSE(result.deadlock);
+  for (const PropertyReport& report : harness.Evaluate(result)) {
+    EXPECT_TRUE(report.holds) << report.name << ": " << report.detail;
+  }
+}
+
 TEST(McDealModeTest, DealRoundsAreExhaustivelyConservative) {
   MC_SKIP_UNDER_TSAN();
   // Bound-2 DFS over the deal protocol on both backends: every dealt item is
@@ -358,6 +427,42 @@ TEST(McWakeupModeTest, NotifyBetweenDrainAndParkNeverStrandsItems) {
     config.policy = "thread-count";
     config.initial_loads = {0, 0};
     config.attempts_per_worker = 2;
+    config.backend = backend;
+    StealHarness harness(config);
+
+    DfsExplorer::Options options;
+    options.max_preemptions = 2;
+    DfsExplorer explorer(options);
+    const PropertyReport* violation = nullptr;
+    std::vector<PropertyReport> reports;
+    const ExploreStats stats = explorer.Explore(
+        harness.Factory(), [&](const ExecutionResult& result, uint32_t) {
+          reports = harness.Evaluate(result);
+          violation = StealHarness::FirstViolation(reports);
+          return violation == nullptr;
+        });
+    EXPECT_GT(stats.schedules_explored, 0u);
+    EXPECT_EQ(stats.deadlocks, 0u);
+    EXPECT_EQ(violation, nullptr)
+        << runtime::QueueBackendName(backend) << ": " << (violation ? violation->name : "")
+        << " — " << (violation ? violation->detail : "");
+  }
+}
+
+TEST(McWakeupModeTest, GatedSpawnWakeupNeverStrandsAParkedOwner) {
+  MC_SKIP_UNDER_TSAN();
+  // Exhaustive sweep of the spawn gate on both backends: worker 0 pushes one
+  // mailbox item, then spawns two children it cannot run itself, bumping
+  // the epoch only when an owner is registered as parked. Every child must
+  // be stolen and run, so a lost spawn wakeup deadlocks (epoch-wakeup).
+  for (const auto backend :
+       {runtime::QueueBackend::kLocked, runtime::QueueBackend::kChaseLev}) {
+    StealHarness::Config config;
+    config.mode = "wakeup";
+    config.policy = "thread-count";
+    config.initial_loads = {0, 0};
+    config.attempts_per_worker = 1;
+    config.spawns = 2;
     config.backend = backend;
     StealHarness harness(config);
 
