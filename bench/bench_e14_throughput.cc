@@ -10,9 +10,12 @@
 //       steady-state expectation is exactly zero: snapshots refill in place,
 //       the candidate list and batch buffer reuse their capacity, and the
 //       eligibility callback is a non-allocating FunctionRef. Queue state is
-//       restored between iterations OUTSIDE the counted region (un-steal via
-//       StealTailLocked, so the deques return to the identical internal
-//       layout and never creep across chunk boundaries).
+//       restored between iterations OUTSIDE the counted region: the thief
+//       pops its stolen tail back off (PopForRun takes the newest item), so
+//       its deque returns to the identical internal layout, and the items go
+//       back on the victim's tail. The victim's deque rotates, but inside
+//       the counted region it only loses head items, which never allocates;
+//       the tail pushes that may allocate a chunk run in the restore.
 //   E14b (throughput): closed-system executor runs, N items on queue 0,
 //       measuring drained items/ms for steal_one (max_steal_batch = 1),
 //       steal_half (cap 8) and the locked_selection ablation, plus the same
@@ -115,19 +118,14 @@ AllocAudit RunAllocAudit(uint64_t attempts) {
   const runtime::StealOptions options{.recheck = true, .max_batch = 8};
 
   // Moves the stolen batch back (thief tail -> victim tail) so every
-  // iteration starts from the identical queue state. Runs uncounted.
+  // iteration starts from the same loads. Runs uncounted.
   auto restore = [&](uint32_t moved) {
-    if (moved == 0) {
-      return;
-    }
     unsteal.clear();
-    {
-      LockGuard guard(machine.queue(1).lock());
-      machine.queue(1).StealTailLocked([](const runtime::WorkItem&) { return true; }, moved,
-                                       unsteal);
+    for (uint32_t i = 0; i < moved; ++i) {
+      unsteal.push_back(*machine.queue(1).PopForRun());
+      machine.queue(1).FinishCurrent();
     }
-    LockGuard guard(machine.queue(0).lock());
-    machine.queue(0).PushBatchLocked(unsteal.data(), static_cast<uint32_t>(unsteal.size()));
+    machine.queue(0).PushBatchOwner(unsteal.data(), static_cast<uint32_t>(unsteal.size()));
   };
 
   // Warmup: every scratch vector reaches its high-water capacity.
@@ -430,20 +428,16 @@ int Main(int argc, char** argv) {
                     t.within_bound ? "yes" : "NO"});
   }
   bench::PrintTable({"backend", "items/ms", "steal successes", "64*W*D bound", "within"}, rows);
-  // Only the Chase-Lev backend promises the Leiserson-Schardl-Suksompong
-  // steal bound: its owner runs depth-first (LIFO bottom) while thieves take
-  // the shallowest node (FIFO top), so every steal moves a whole subtree.
-  // The locked queue runs the frontier breadth-first and thieves take the
-  // NEWEST (deepest) entries — steals move leaves and the count is
-  // unbounded in depth. Its row is the ablation contrast, not a gate.
+  // Both backends promise the Leiserson-Schardl-Suksompong steal bound: the
+  // owner runs depth-first (pops the newest node) while thieves take the
+  // oldest, shallowest node, so every steal moves a whole subtree. Both rows
+  // gate.
   bool tree_bound_ok = true;
   for (const TreeResult& t : trees) {
-    if (t.backend == "chase_lev") {
-      tree_bound_ok &= t.within_bound;
+    tree_bound_ok &= t.within_bound;
+    if (!t.within_bound) {
+      bench::Note(F("FAIL: %s steal count exceeded the O(W*depth) bound", t.backend.c_str()));
     }
-  }
-  if (!tree_bound_ok) {
-    bench::Note("FAIL: chase_lev steal count exceeded the O(W*depth) bound");
   }
 
   // Machine-readable summary (CI perf-smoke artifact + floor check).

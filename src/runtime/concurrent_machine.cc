@@ -57,12 +57,17 @@ std::optional<WorkItem> ConcurrentRunQueue::PopForRunLockedBackend() {
   if (ready_.empty()) {
     return std::nullopt;
   }
-  WorkItem item = ready_.front();
-  ready_.pop_front();
+  // Newest first, the work-first order: the owner unfolds its own recursion
+  // depth-first while thieves take the oldest (biggest) subtrees from the
+  // head. No publish: the item moves from ready_ to the running slot, so
+  // task_count (|ready| + running) and weighted_load (queued + running
+  // weight) are both unchanged, and a seqlock write would only make
+  // concurrent snapshot readers retry.
+  WorkItem item = ready_.back();
+  ready_.pop_back();
   queued_weight_ -= item.weight;
   running_ = true;
   running_weight_ = item.weight;
-  PublishLocked();
   return item;
 }
 
@@ -240,11 +245,11 @@ uint32_t ConcurrentRunQueue::TakeOwnerBatch(uint32_t max_items, std::vector<Work
   if (backend_ == QueueBackend::kLocked) {
     LockGuard guard(lock_);
     uint32_t taken = 0;
-    // Tail-first, the end StealTailLocked robs from: the dealer sheds the
+    // Head-first, the end StealOldestLocked robs from: the dealer sheds the
     // items a thief would have taken, with one publish for the whole batch.
     while (taken < max_items && !ready_.empty()) {
-      const WorkItem item = ready_.back();
-      ready_.pop_back();
+      const WorkItem item = ready_.front();
+      ready_.pop_front();
       queued_weight_ -= item.weight;
       out.push_back(item);
       ++taken;
@@ -326,16 +331,17 @@ OPTSCHED_HOT_PATH LoadPair ConcurrentRunQueue::ExactLoadLocked() const {
   return load;
 }
 
-OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealTailLocked(
+OPTSCHED_HOT_PATH uint32_t ConcurrentRunQueue::StealOldestLocked(
     FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
     std::vector<WorkItem>& out) {
   uint32_t taken = 0;
-  // Newest-first scan by index (erase invalidates deque iterators). Skipped
-  // items stay skipped: the batch only tightens the loads as it grows, so an
-  // item the rule rejected at a wider gap cannot become eligible later.
-  for (size_t i = ready_.size(); i > 0 && taken < max_items;) {
-    --i;
+  // Oldest-first scan by index (erase invalidates deque iterators; an erase
+  // leaves index i on the next candidate). Skipped items stay skipped: the
+  // batch only tightens the loads as it grows, so an item the rule rejected
+  // at a wider gap cannot become eligible later.
+  for (size_t i = 0; i < ready_.size() && taken < max_items;) {
     if (!eligible(ready_[i])) {
+      ++i;
       continue;
     }
     const WorkItem item = ready_[i];
@@ -576,7 +582,7 @@ OPTSCHED_HOT_PATH bool ConcurrentMachine::TryStealLocked(
                          std::max(policy.StealBatchHint(v, t), 1u));
   }
   s.batch.clear();
-  const uint32_t moved = victim_queue.StealTailLocked(
+  const uint32_t moved = victim_queue.StealOldestLocked(
       [&](const WorkItem& item) {
         if (options.break_batch_bound) {
           return true;  // ignore the migration rule: provoke the violation

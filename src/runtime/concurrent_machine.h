@@ -90,9 +90,11 @@ class ConcurrentRunQueue {
   // The single-current invariant is checked BEFORE any mutation: a firing
   // check must leave the queue exactly as it found it (item still queued,
   // load still published), so the post-mortem state is trustworthy.
-  // Backend note: kLocked pops the HEAD (FIFO), kChaseLev pops the BOTTOM
-  // (LIFO — the work-stealing discipline: owner takes newest, thieves take
-  // oldest). Neither order is a proof obligation.
+  // Backend note: both backends pop the NEWEST item (kLocked the tail,
+  // kChaseLev the bottom) — the work-first discipline: owner takes newest,
+  // thieves take oldest. The order is not a proof obligation. kLocked does
+  // not publish here: the item only moves to the running slot, so the
+  // published load is unchanged.
   std::optional<WorkItem> PopForRun() OPTSCHED_EXCLUDES(lock_);
   // Declares the current item finished; load drops accordingly.
   void FinishCurrent() OPTSCHED_EXCLUDES(lock_);
@@ -113,12 +115,14 @@ class ConcurrentRunQueue {
   // this decomposition).
   void PushBatchExternal(const WorkItem* items, uint32_t count) OPTSCHED_EXCLUDES(lock_);
   // Owner-side removal of up to `max_items` queued items (the deal round's
-  // take): items leave from the steal end — kLocked tail, kChaseLev bottom —
-  // so the dealer sheds the work thieves would have targeted. Never touches
-  // the running slot; safe between PopForRun/FinishCurrent pairs. Appends to
-  // `out`, returns the count. On kChaseLev the removals are charged to the
-  // owner-written `dealt` counters (tasks = own_enq + ext_enq − fin −
-  // stolen − dealt stays exact at quiescence).
+  // take). kLocked takes from the head, oldest first — the end thieves steal
+  // from — so the dealer sheds the work a thief would have taken. kChaseLev
+  // pops at bottom, the only end the owner may take from without a top CAS
+  // (newest first). Never touches the running slot; safe between
+  // PopForRun/FinishCurrent pairs. Appends to `out`, returns the count. On
+  // kChaseLev the removals are charged to the owner-written `dealt` counters
+  // (tasks = own_enq + ext_enq − fin − stolen − dealt stays exact at
+  // quiescence).
   uint32_t TakeOwnerBatch(uint32_t max_items, std::vector<WorkItem>& out)
       OPTSCHED_EXCLUDES(lock_);
 
@@ -142,15 +146,15 @@ class ConcurrentRunQueue {
   SpinLock& lock() OPTSCHED_RETURN_CAPABILITY(lock_) { return lock_; }
   // Must hold lock(): exact loads / queue access.
   LoadPair ExactLoadLocked() const OPTSCHED_REQUIRES(lock_);
-  // Removes up to `max_items` items from the tail, newest first, appending
+  // Removes up to `max_items` items from the head, oldest first, appending
   // them to `out`. `eligible` is consulted once per candidate; returning true
   // COMMITS the removal (callers update their running victim/thief loads
   // inside the callback). Ineligible items are skipped, the scan continues
-  // toward the head. The published load is written ONCE, after the last
+  // toward the tail. The published load is written ONCE, after the last
   // removal — not per item — so concurrent seqlock readers see one
   // invalidation per steal action. Returns the number of items taken.
-  uint32_t StealTailLocked(FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
-                           std::vector<WorkItem>& out) OPTSCHED_REQUIRES(lock_);
+  uint32_t StealOldestLocked(FunctionRef<bool(const WorkItem&)> eligible, uint32_t max_items,
+                             std::vector<WorkItem>& out) OPTSCHED_REQUIRES(lock_);
   void PushLocked(WorkItem item) OPTSCHED_REQUIRES(lock_);
   // Appends `count` items and publishes the new load once.
   void PushBatchLocked(const WorkItem* items, uint32_t count) OPTSCHED_REQUIRES(lock_);
@@ -248,7 +252,7 @@ class ConcurrentRunQueue {
   // seqlock-write-context.
   alignas(kCacheLineSize) Seqlock<LoadPair> published_;
   // kLocked robbery counter behind StolenCount(): bumped under lock_ by
-  // StealTailLocked, read lock-free by the owner's deal gate. Mutated only
+  // StealOldestLocked, read lock-free by the owner's deal gate. Mutated only
   // inside the steal critical section, whose lock handoff is already the
   // checker's decision point.
   // mc: kDequeLoadRead, kDequeLoadWrite

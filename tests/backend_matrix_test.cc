@@ -155,6 +155,51 @@ TEST_P(BackendMatrix, TakeOwnerBatchReachesInboxResidents) {
   EXPECT_EQ(window.size(), 4u);
 }
 
+TEST_P(BackendMatrix, OwnerPopsNewestThiefStealsOldest) {
+  // The work-first discipline, the same on both backends: the owner runs its
+  // newest item (depth-first over its own spawns) and a thief takes the
+  // oldest (the shallowest subtree).
+  runtime::ConcurrentMachine machine(2, runtime::MachineOptions{.backend = GetParam()});
+  std::vector<WorkItem> seed = {Item(1), Item(2), Item(3), Item(4)};
+  machine.queue(0).PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
+
+  std::optional<WorkItem> running = machine.queue(0).PopForRun();
+  ASSERT_TRUE(running.has_value());
+  EXPECT_EQ(running->id, 4u);
+
+  const auto policy = policies::MakeThreadCount();
+  runtime::StealCounters counters;
+  Rng rng(1);
+  ASSERT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng, runtime::StealOptions{},
+                               counters));
+  std::optional<WorkItem> stolen = machine.queue(1).PopForRun();
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_EQ(stolen->id, 1u);
+  machine.queue(1).FinishCurrent();
+  machine.queue(0).FinishCurrent();
+}
+
+TEST(BackendMatrixLocked, PopForRunLeavesThePublishedLoadAlone) {
+  // A pop moves an item from the ready deque to the running slot: task count
+  // and weighted load are unchanged, so there is nothing to republish. Only
+  // FinishCurrent, which lowers the load, writes the seqlock.
+  ConcurrentRunQueue queue(QueueBackend::kLocked);
+  for (uint64_t id = 1; id <= 4; ++id) {
+    queue.Push(Item(id, 100 * static_cast<uint32_t>(id)));
+  }
+  const uint64_t writes_before = queue.SeqlockWriteCount();
+  const runtime::LoadPair load_before = queue.ReadLoad();
+  std::optional<WorkItem> running = queue.PopForRun();
+  ASSERT_TRUE(running.has_value());
+  EXPECT_EQ(queue.SeqlockWriteCount(), writes_before);
+  EXPECT_EQ(queue.ReadLoad().task_count, load_before.task_count);
+  EXPECT_EQ(queue.ReadLoad().weighted_load, load_before.weighted_load);
+  queue.FinishCurrent();
+  EXPECT_EQ(queue.SeqlockWriteCount(), writes_before + 1);
+  EXPECT_EQ(queue.ReadLoad().task_count, 3);
+  EXPECT_EQ(queue.ReadLoad().weighted_load, 1000 - 400);
+}
+
 TEST(BackendMatrixChaseLev, RingOverflowSpillsToInboxWithoutLosingItems) {
   // Capacity rounds to 4: an 11-item owner batch overflows the ring and the
   // remainder must spill to the inbox, reachable again through PopForRun.

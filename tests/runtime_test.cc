@@ -164,7 +164,7 @@ TEST(ConcurrentMachine, EmptyFilterIsNotAnAttempt) {
 TEST(ConcurrentMachine, WeightedMigrationRespectsDiff) {
   runtime::ConcurrentMachine machine(2);
   // Victim: two heavy items. Thief weighted load 0 -> only items lighter
-  // than the diff migrate; both qualify here, tail goes first.
+  // than the diff migrate; both qualify here, the head (oldest) goes first.
   machine.queue(0).Push({.id = 1, .work_units = 1, .weight = 9000});
   machine.queue(0).Push({.id = 2, .work_units = 1, .weight = 100});
   const auto policy = policies::MakeWeightedLoad();
@@ -172,7 +172,31 @@ TEST(ConcurrentMachine, WeightedMigrationRespectsDiff) {
   Rng rng(1);
   EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng,
                                runtime::StealOptions{}, counters));
-  EXPECT_EQ(machine.queue(1).ReadLoad().weighted_load, 100);  // tail item
+  EXPECT_EQ(machine.queue(1).ReadLoad().weighted_load, 9000);  // head item
+}
+
+TEST(ConcurrentMachine, WeightedMigrationSkipsAnIneligibleHead) {
+  runtime::ConcurrentMachine machine(2);
+  // Diff 5150 - 1000 = 4150: the head (5000) fails ShouldMigrate and stays;
+  // the scan moves on and takes the next item out of the middle.
+  machine.queue(0).Push({.id = 1, .work_units = 1, .weight = 5000});
+  machine.queue(0).Push({.id = 2, .work_units = 1, .weight = 100});
+  machine.queue(0).Push({.id = 3, .work_units = 1, .weight = 50});
+  machine.queue(1).Push({.id = 4, .work_units = 1, .weight = 1000});
+  const auto policy = policies::MakeWeightedLoad();
+  runtime::StealCounters counters;
+  Rng rng(1);
+  EXPECT_TRUE(machine.TrySteal(*policy, 1, machine.Snapshot(), rng,
+                               runtime::StealOptions{}, counters));
+  EXPECT_EQ(machine.queue(1).ReadLoad().weighted_load, 1100);
+  EXPECT_EQ(machine.queue(0).ReadLoad().weighted_load, 5050);
+  // The skipped head and the tail kept their places around the erase.
+  std::vector<uint64_t> left;
+  while (std::optional<runtime::WorkItem> item = machine.queue(0).PopForRun()) {
+    left.push_back(item->id);
+    machine.queue(0).FinishCurrent();
+  }
+  EXPECT_EQ(left, (std::vector<uint64_t>{3, 1}));
 }
 
 TEST(ConcurrentMachine, LockedSnapshotIsExact) {
