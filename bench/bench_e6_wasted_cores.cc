@@ -84,7 +84,7 @@ int main() {
                        "failed_steals"},
                       rows);
     if (proven_makespan > 0) {
-      bench::Note(F("(ideal lower bound: 8 phases x 64 tasks x 5ms / 32 cpus = %.1f ms)",
+      bench::Note(F("(perfect-balance lower bound: 8 phases x 64 tasks x 5ms / 32 cpus = %.1f ms)",
                     8.0 * 64.0 * 5.0 / 32.0));
     }
   }
@@ -217,7 +217,7 @@ int main() {
     bench::PrintTable({"policy", "makespan_ms", "cold migrations", "penalty paid (ms)",
                        "steals"},
                       rows);
-    bench::Note(F("(ideal: 96 x 10ms / 16 cpus = %.1f ms, penalty 200us x distance; the\n"
+    bench::Note(F("(perfect balance: 96 x 10ms / 16 cpus = %.1f ms, penalty 200us x distance; the\n"
                   " filter is shared so all three pass the same audit — only placement\n"
                   " quality differs)",
                   96.0 * 10.0 / 16.0));

@@ -92,7 +92,7 @@ void PrintUsage(const char* prog) {
   std::printf("model checker (src/mc):\n");
   std::printf("  --mc                explore schedules of the real steal protocol instead\n");
   std::printf("  --mc-harness=MODE   balance | drain | epoch | ingress | wakeup | forkjoin\n");
-  std::printf("                      | deal (default balance)\n");
+  std::printf("                      (default balance)\n");
   std::printf("  --mc-backend=NAME   run-queue backend: locked | chase_lev (default locked)\n");
   std::printf("  --mc-deque-capacity=N  chase_lev ring capacity (default 64)\n");
   std::printf("  --mc-broken-steal-order  fault mode: thief reads bottom before top, no fence\n");
@@ -107,9 +107,6 @@ void PrintUsage(const char* prog) {
   std::printf("  --mc-fanout=N       forkjoin harness: children per internal node (default 2)\n");
   std::printf("  --mc-broken-join    fault mode: plain load/store join decrement loses a\n");
   std::printf("                      concurrent arrival (join-fires-exactly-once cex)\n");
-  std::printf("  --mc-deal-window=N  deal harness: items the dealer takes per deal round (default 2)\n");
-  std::printf("  --mc-broken-deal-window  fault mode: dealer drops the mailbox-refused tail\n");
-  std::printf("                      of its window (no-lost-dealt-items cex)\n");
   std::printf("  --mc-spawns=N       wakeup harness: children worker 0 spawns through the\n");
   std::printf("                      gated spawn wakeup after its pushes (default 0)\n");
   std::printf("  --mc-broken-spawn-gate  fault mode: parkers skip the re-check after\n");
@@ -117,8 +114,6 @@ void PrintUsage(const char* prog) {
   std::printf("  harness-specific flags are rejected (exit 2) when passed to a harness or\n");
   std::printf("  backend they do not apply to, instead of being silently ignored\n");
   std::printf("  --mc-bound=N        preemption bound for exhaustive mode (default 2)\n");
-  std::printf("  --mc-budget=N       completed+pruned execution budget for exhaustive mode\n");
-  std::printf("                      (default 1048576)\n");
   std::printf("  --mc-mode=KIND      exhaustive | pct (default exhaustive)\n");
   std::printf("  --mc-samples=N      PCT executions to sample (default 256)\n");
   std::printf("  --replay=FILE       replay a recorded schedule JSON instead of exploring\n");
@@ -233,9 +228,6 @@ int RunMcExplore(int argc, char** argv) {
   const int fanout = std::atoi(FlagValue(argc, argv, "mc-fanout", "2").c_str());
   config.fanout = fanout >= 1 ? static_cast<uint32_t>(fanout) : 2;
   config.broken_join_counter = HasFlag(argc, argv, "mc-broken-join");
-  const int deal_window = std::atoi(FlagValue(argc, argv, "mc-deal-window", "2").c_str());
-  config.deal_window = deal_window >= 1 ? static_cast<uint32_t>(deal_window) : 2;
-  config.broken_deal_window = HasFlag(argc, argv, "mc-broken-deal-window");
   const int spawns = std::atoi(FlagValue(argc, argv, "mc-spawns", "0").c_str());
   config.spawns = spawns >= 0 ? static_cast<uint32_t>(spawns) : 0;
   config.broken_spawn_gate = HasFlag(argc, argv, "mc-broken-spawn-gate");
@@ -244,8 +236,8 @@ int RunMcExplore(int argc, char** argv) {
   // not apply to this run, rather than silently parsed into fields the
   // harness never reads — a typo'd combination must not masquerade as a
   // clean sweep of the fault it meant to inject.
-  static const char* kKnownModes[] = {"balance", "drain",    "epoch", "ingress",
-                                      "wakeup",  "forkjoin", "deal"};
+  static const char* kKnownModes[] = {"balance", "drain",  "epoch",
+                                      "ingress", "wakeup", "forkjoin"};
   bool known_mode = false;
   for (const char* m : kKnownModes) {
     known_mode |= config.mode == m;
@@ -253,13 +245,12 @@ int RunMcExplore(int argc, char** argv) {
   if (!known_mode) {
     std::fprintf(stderr,
                  "unknown --mc-harness '%s' (balance | drain | epoch | ingress | wakeup "
-                 "| forkjoin | deal)\n",
+                 "| forkjoin)\n",
                  config.mode.c_str());
     return 2;
   }
   const bool forkjoin_mode = config.mode == "forkjoin";
-  const bool deal_mode = config.mode == "deal";
-  const bool mailbox_mode = config.mode == "ingress" || config.mode == "wakeup" || deal_mode;
+  const bool mailbox_mode = config.mode == "ingress" || config.mode == "wakeup";
   const bool chase_lev = config.backend == optsched::runtime::QueueBackend::kChaseLev;
   struct FlagScope {
     const char* flag;
@@ -270,9 +261,7 @@ int RunMcExplore(int argc, char** argv) {
       {"mc-tree-depth", forkjoin_mode, "the forkjoin harness"},
       {"mc-fanout", forkjoin_mode, "the forkjoin harness"},
       {"mc-broken-join", forkjoin_mode, "the forkjoin harness"},
-      {"mc-mailbox", mailbox_mode, "the ingress, wakeup and deal harnesses"},
-      {"mc-deal-window", deal_mode, "the deal harness"},
-      {"mc-broken-deal-window", deal_mode, "the deal harness"},
+      {"mc-mailbox", mailbox_mode, "the ingress and wakeup harnesses"},
       {"mc-spawns", config.mode == "wakeup", "the wakeup harness"},
       {"mc-broken-spawn-gate", config.spawns > 0, "the wakeup harness with --mc-spawns"},
       {"mc-broken-steal-order", chase_lev, "the chase_lev backend"},
@@ -292,11 +281,7 @@ int RunMcExplore(int argc, char** argv) {
     const int workers = std::atoi(FlagValue(argc, argv, "mc-workers", "3").c_str());
     for (int i = 0; i < workers; ++i) {
       // Forkjoin seeds only the root task: the loads must be all zero there.
-      // Deal seeds the dealer (worker 0) above the deal threshold and every
-      // peer idle, so deal rounds are reachable at all.
-      const int64_t load = config.mode == "forkjoin" ? 0
-                           : config.mode == "deal"   ? (i == 0 ? 4 : 0)
-                                                     : i;
+      const int64_t load = config.mode == "forkjoin" ? 0 : i;
       config.initial_loads.push_back(load);
     }
   }
@@ -329,10 +314,6 @@ int RunMcExplore(int argc, char** argv) {
     DfsExplorer::Options options;
     options.max_preemptions =
         static_cast<uint32_t>(std::atoi(FlagValue(argc, argv, "mc-bound", "2").c_str()));
-    const long long budget = std::atoll(FlagValue(argc, argv, "mc-budget", "0").c_str());
-    if (budget >= 1) {
-      options.max_schedules = static_cast<uint64_t>(budget);
-    }
     DfsExplorer explorer(options);
     const ExploreStats stats = explorer.Explore(harness.Factory(), sink);
     executions = stats.schedules_explored;

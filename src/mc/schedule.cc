@@ -204,13 +204,6 @@ std::string Schedule::ToJson() const {
     out += std::string(",\n  \"broken_join_counter\": ") +
            (broken_join_counter ? "true" : "false");
   }
-  // Deal-only fields follow the same conditional-emission rule: every
-  // committed non-deal golden stays byte-identical across this schema growth.
-  if (harness == "deal") {
-    out += StrFormat(",\n  \"deal_window\": %u", deal_window);
-    out += std::string(",\n  \"broken_deal_window\": ") +
-           (broken_deal_window ? "true" : "false");
-  }
   // Wakeup-only fields, same rule.
   if (harness == "wakeup") {
     out += StrFormat(",\n  \"spawns\": %u", spawns);
@@ -274,11 +267,6 @@ std::optional<Schedule> Schedule::FromJson(const std::string& json) {
     schedule.fanout = static_cast<uint32_t>(fanout);
   }
   scanner.GetBool("broken_join_counter", schedule.broken_join_counter);
-  int64_t deal_window = 0;
-  if (scanner.GetInt("deal_window", deal_window) && deal_window >= 1) {
-    schedule.deal_window = static_cast<uint32_t>(deal_window);
-  }
-  scanner.GetBool("broken_deal_window", schedule.broken_deal_window);
   int64_t spawns = 0;
   if (scanner.GetInt("spawns", spawns) && spawns >= 0) {
     schedule.spawns = static_cast<uint32_t>(spawns);

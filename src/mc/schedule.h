@@ -54,14 +54,6 @@ struct Schedule {
   // Fault mode ("forkjoin"): plain load/store join decrement loses
   // concurrent arrivals, stranding the continuation (join-fires-exactly-once).
   bool broken_join_counter = false;
-  // "deal" harness: cap on items the dealer takes per deal round (the
-  // take->place window; see StealHarness::Config::deal_window). Absent in
-  // pre-deal golden files; FromJson defaults to 2.
-  uint32_t deal_window = 2;
-  // Fault mode ("deal"): the dealer DROPS the mailbox-refused tail of its
-  // window instead of returning it to its own queue — the lost-in-transit
-  // bug no-lost-dealt-items exists to catch.
-  bool broken_deal_window = false;
   // "wakeup" harness: children spawned through the gated spawn wakeup, and
   // the fault mode whose parkers skip the post-registration re-check (see
   // StealHarness::Config). Absent in earlier golden files; FromJson

@@ -40,7 +40,6 @@
 #include "src/fault/fault.h"
 #include "src/runtime/concurrent_machine.h"
 #include "src/runtime/ingress_source.h"
-#include "src/sched/deal_policy.h"
 #include "src/stats/histogram.h"
 #include "src/trace/accounting.h"
 #include "src/trace/collector.h"
@@ -141,23 +140,12 @@ struct ExecutorConfig {
   // are dispatched to this runner instead of the calibrated spin. The runner
   // must outlive the run. Null rejects task items loudly.
   TaskRunner* task_runner = nullptr;
-  // Proactive work-dealing (docs/runtime.md#work-dealing): when deal.enabled,
-  // each worker runs a deal round every deal.check_interval_items executed
-  // items — if its task count exceeds deal.threshold inside the post-steal
-  // grace window and an idle peer exists, it pushes ceil(gap/2) items into
-  // that peer's bounded deal mailbox (owner-side stores instead of
-  // thief-side synchronization). deal_sink is the transport (an
-  // ingress::DealChannel); it must outlive the run, and its notify callback
-  // should be wired to NotifyIngress so a parked recipient cannot sleep
-  // through a deal. Dealt items are MIGRATING, never re-admitted: they keep
-  // their original remaining/submitted accounting, so closed-system Run()
-  // works with dealing on. The reactive steal path stays on as unconditional
-  // fallback — work conservation never rests on a deal landing.
-  DealConfig deal;
-  DealSink* deal_sink = nullptr;
-  // Ablation (E17 deal-only): disable the reactive steal fallback entirely.
-  // Workers still execute their own queues, drain ingress and deal mailboxes;
-  // they just never run the three-step balancing protocol.
+  // Inert: the switches of the removed owner-push path (EXPERIMENTS.md E21).
+  // The constructor rejects any value but these defaults.
+  struct {
+    bool enabled = false;
+  } deal;
+  const void* deal_sink = nullptr;
   bool steal_enabled = true;
   uint64_t seed = 1;
 };
@@ -182,19 +170,6 @@ struct WorkerStats {
   uint64_t mailbox_drains = 0;
   uint64_t mailbox_items_drained = 0;
   uint64_t submit_wakeups = 0;
-  // Work-dealing accounting (docs/runtime.md#work-dealing). Dealer side:
-  // rounds that cleared the window+threshold+recipient gates and took a
-  // batch; rounds that placed >= 1 item with the peer; items accepted into
-  // the peer's deal mailbox; refused-tail items spilled straight into the
-  // peer's runqueue; abandoned batches returned to the own queue.
-  uint64_t deal_rounds = 0;
-  uint64_t deal_pushes = 0;
-  uint64_t deal_items_dealt = 0;
-  uint64_t deal_items_direct = 0;
-  uint64_t deal_items_returned = 0;
-  // Recipient side: deal-mailbox drain actions and items moved to the queue.
-  uint64_t deal_drains = 0;
-  uint64_t deal_items_received = 0;
   // Steal-phase latency, split by outcome: successful steals and genuine
   // failed attempts (non-empty filter, lost re-check or no eligible task).
   // Failed attempts are exactly the contention §4.3 reasons about — recording
@@ -237,13 +212,6 @@ struct ExecutorReport {
   uint64_t total_backoff_events() const;
   uint64_t total_crashes() const;
   uint64_t total_mailbox_items_drained() const;
-  uint64_t total_deal_rounds() const;
-  // Items migrated by dealing = mailbox-accepted + direct-spilled (returned
-  // items never migrated; received is the recipient-side mirror of accepted).
-  uint64_t total_deal_items_dealt() const;
-  uint64_t total_deal_items_direct() const;
-  uint64_t total_deal_items_returned() const;
-  uint64_t total_deal_items_received() const;
   // Sojourn histograms of all workers merged (arrival-stamped items only).
   stats::LogHistogram MergedSojournNs() const;
   double throughput_items_per_ms() const;
@@ -336,20 +304,6 @@ class Executor {
   void CountOwnerSubmit(uint32_t worker, uint64_t count);
   // Applies `worker`'s unflushed execution credit to remaining_items_.
   void FlushCredit(uint32_t worker);
-  // One dealer-side deal round for `worker` (docs/runtime.md#work-dealing):
-  // window check, threshold check, recipient pick, take-push-place. `batch`
-  // and `pending_scratch` are the worker's reusable scratch buffers;
-  // `snapshot` is a dedicated buffer (never the steal path's, so the
-  // stale-snapshot fault semantics stay untouched).
-  void DealRound(uint32_t worker, ConcurrentRunQueue& own, WorkerStats& stats,
-                 DealWindow& window, LoadSnapshot& snapshot, std::vector<WorkItem>& batch,
-                 std::vector<int64_t>& pending_scratch, trace::SpscTraceRing* ring);
-  // Recipient side: moves dealt items mailbox->runqueue through the owner
-  // push path WITHOUT touching remaining/submitted counts — dealt items were
-  // counted at their original submission and are only migrating (the
-  // double-count would wedge closed-system termination). Returns items moved.
-  uint32_t DrainDealt(uint32_t worker, WorkerStats& stats, std::vector<WorkItem>& batch,
-                      trace::SpscTraceRing* ring);
   // Shared driver behind Run and RunFor: spawns workers, supervises
   // crash-and-restart and the watchdog, joins, reports. duration_ms == 0
   // means closed-system mode (run until drained).
@@ -359,14 +313,6 @@ class Executor {
   ExecutorConfig config_;
   const Topology* topology_;
   ConcurrentMachine machine_;
-  // Pure deal decision layer (src/sched); all synchronization stays here.
-  DealPolicy deal_policy_;
-  // Items a dealer holds between TakeOwnerBatch and placement: in no queue
-  // and no mailbox, so the watchdog must read them as PENDING for the dealer
-  // — without this a deal landing inside a sampling window looks like work
-  // vanishing (the invisible-in-flight accounting bug this array fixes).
-  // optsched-lint: allow(mc-hook-coverage): watchdog pending bookkeeping, never a worker scheduling decision input
-  std::vector<std::atomic<int64_t>> deal_in_flight_;
   std::unique_ptr<fault::FaultInjector> injector_;
   // Per-run trace rings (workers 0..n-1, supervisor lane n); null when off.
   std::unique_ptr<trace::TraceCollector> collector_;
@@ -382,11 +328,14 @@ class Executor {
     uint64_t spawned = 0;
   };
   std::unique_ptr<WorkerCredit[]> credit_;
+  // The shared atomics below start on their own cache line, so no worker
+  // write to them dirties the line holding config_ or credit_, and which
+  // members share their line does not depend on the members above them.
   // Queued-but-unexecuted items plus the workers' unflushed credit; drives
   // closed-system termination. Never below the true outstanding count, so
   // reading 0 means drained.
   // optsched-lint: allow(mc-hook-coverage): termination bookkeeping — the mc harness drives ConcurrentMachine directly and owns termination
-  std::atomic<uint64_t> remaining_items_{0};
+  alignas(kCacheLineSize) std::atomic<uint64_t> remaining_items_{0};
   // Items submitted from outside the workers toward the CURRENT (or next)
   // run's total: Seed/Submit add here, and each run finishes by resetting it
   // to the leftover queue depth — so a reused instance never reports a stale

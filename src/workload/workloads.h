@@ -21,7 +21,7 @@ namespace optsched::workload {
 // --- Static imbalance --------------------------------------------------------
 // `num_tasks` CPU-bound tasks of `service_us` each, all submitted at t=0 onto
 // a small subset of cores (round-robin over the first `initial_cpus` CPUs).
-// Measures pure rebalancing ability: makespan of an ideal work-conserving
+// Measures pure rebalancing ability: makespan of a perfectly work-conserving
 // scheduler approaches ceil(num_tasks / num_cpus) * service_us.
 struct StaticImbalanceConfig {
   uint32_t num_tasks = 64;

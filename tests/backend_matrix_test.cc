@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/core/policies/thread_count.h"
-#include "src/ingress/deal_channel.h"
 #include "src/ingress/mailbox.h"
 #include "src/runtime/concurrent_machine.h"
 #include "src/runtime/executor.h"
@@ -87,37 +86,31 @@ TEST_P(BackendMatrix, PushBatchOwnerPublishesTheWholeBatch) {
   }
 }
 
-TEST_P(BackendMatrix, DealTakeAndExternalPushStayExactAtQuiescence) {
-  // The work-dealing transport pair: the owner removes a window with
-  // TakeOwnerBatch, and a dealer (a DIFFERENT thread) lands items with
-  // PushBatchExternal. Both must keep the published decomposition exact at
-  // quiescence — the regression here is a dealt batch counted against the
-  // owner's single-writer own_enq counter instead of the shared ext_enq
-  // counter, which corrupts the published load under a concurrent owner push.
+TEST_P(BackendMatrix, ExternalPushBatchStaysExactAtQuiescence) {
+  // A non-owner thread lands a batch with PushBatchExternal while other
+  // items arrive through Push. The published load (the four-term counter
+  // decomposition on chase_lev, the seqlock on locked) must be exact at
+  // quiescence — the regression here is an external batch counted against
+  // the owner's single-writer own_enq counter instead of the shared ext_enq
+  // counter, which corrupts the published load under a concurrent push.
   ConcurrentRunQueue queue(GetParam());
   std::vector<WorkItem> seed;
-  for (uint64_t id = 1; id <= 8; ++id) {
+  for (uint64_t id = 1; id <= 5; ++id) {
     seed.push_back(Item(id, 100));
   }
   queue.PushBatchOwner(seed.data(), static_cast<uint32_t>(seed.size()));
 
-  std::vector<WorkItem> window;
-  const uint32_t taken = queue.TakeOwnerBatch(3, window);
-  EXPECT_EQ(taken, 3u);
-  EXPECT_EQ(window.size(), 3u);
-  EXPECT_EQ(queue.ReadLoad().task_count, 5);
-  EXPECT_EQ(queue.ReadLoad().weighted_load, 500);
-  EXPECT_EQ(queue.ExactLoad().task_count, 5);
-
-  // Land the window back from a non-owner thread (the direct-spill path),
-  // interleaved with owner pushes: the per-writer counters must not tear.
-  std::thread dealer([&] {
-    queue.PushBatchExternal(window.data(), static_cast<uint32_t>(window.size()));
+  std::vector<WorkItem> batch;
+  for (uint64_t id = 6; id <= 8; ++id) {
+    batch.push_back(Item(id, 100));
+  }
+  std::thread submitter([&] {
+    queue.PushBatchExternal(batch.data(), static_cast<uint32_t>(batch.size()));
   });
   for (uint64_t id = 9; id <= 10; ++id) {
     queue.Push(Item(id, 100));
   }
-  dealer.join();
+  submitter.join();
   EXPECT_EQ(queue.ReadLoad().task_count, 10);
   EXPECT_EQ(queue.ReadLoad().weighted_load, 1000);
   EXPECT_EQ(queue.ExactLoad().task_count, 10);
@@ -139,20 +132,6 @@ TEST_P(BackendMatrix, DealTakeAndExternalPushStayExactAtQuiescence) {
   }
   EXPECT_EQ(queue.ReadLoad().task_count, 0);
   EXPECT_EQ(queue.ReadLoad().weighted_load, 0);
-}
-
-TEST_P(BackendMatrix, TakeOwnerBatchReachesInboxResidents) {
-  // Dealable surplus parked in the external path (inbox on chase_lev, the
-  // shared deque on locked) must be reachable by the dealer's take.
-  ConcurrentRunQueue queue(GetParam());
-  for (uint64_t id = 1; id <= 4; ++id) {
-    queue.Push(Item(id));
-  }
-  std::vector<WorkItem> window;
-  EXPECT_EQ(queue.TakeOwnerBatch(8, window), 4u);
-  EXPECT_EQ(queue.ReadLoad().task_count, 0);
-  EXPECT_EQ(queue.ExactLoad().task_count, 0);
-  EXPECT_EQ(window.size(), 4u);
 }
 
 TEST_P(BackendMatrix, OwnerPopsNewestThiefStealsOldest) {
@@ -273,51 +252,6 @@ TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedWithSteals) {
     total_successes = report.total_successes();
   }
   EXPECT_GT(total_successes, 0u);
-}
-
-TEST_P(BackendMatrix, ExecutorDrainsImbalancedSeedThroughDealingAlone) {
-  // Steal disabled: workers 1-3 can make progress ONLY through the deal path
-  // (deal round -> mailbox -> DrainDealt -> own queue), so draining the whole
-  // seed proves the transport end to end on this backend. Whether a deal
-  // fires before the owner drains the seed is a race against worker spin-up,
-  // so retry until one lands; drain correctness is asserted every time.
-  uint64_t items_dealt = 0;
-  for (int attempt = 0; attempt < 5 && items_dealt == 0; ++attempt) {
-    runtime::ExecutorConfig config;
-    config.num_workers = 4;
-    config.backend = GetParam();
-    config.spin_per_unit = 200;
-    config.steal_enabled = false;
-    config.deal.enabled = true;
-    config.deal.threshold = 2;
-    config.deal.grace_rounds = 0;  // always-on: no robbery ever precedes a deal here
-    config.deal.check_interval_items = 1;
-    ingress::DealChannel deal_channel(config.num_workers, /*capacity_per_mailbox=*/64);
-    config.deal_sink = &deal_channel;
-    runtime::Executor executor(policies::MakeThreadCount(), config);
-    deal_channel.set_notify([&](uint32_t worker) { executor.NotifyIngress(worker); });
-
-    std::vector<WorkItem> seed;
-    for (uint64_t id = 0; id < 2000; ++id) {
-      WorkItem item = Item(id);
-      item.work_units = 5;
-      seed.push_back(item);
-    }
-    executor.Seed(0, seed);
-    const runtime::ExecutorReport report = executor.Run();
-    SCOPED_TRACE(report.ToString());
-
-    uint64_t executed = 0;
-    for (const auto& w : report.workers) {
-      executed += w.items_executed;
-    }
-    ASSERT_EQ(executed, 2000u);
-    ASSERT_EQ(report.items_left_unexecuted, 0u);
-    ASSERT_EQ(report.total_successes(), 0u);  // steals stayed off
-    ASSERT_EQ(deal_channel.TotalDealtPending(), 0);
-    items_dealt = report.total_deal_items_dealt() + report.total_deal_items_direct();
-  }
-  EXPECT_GT(items_dealt, 0u);
 }
 
 TEST_P(BackendMatrix, ExecutorDrainsMailboxIngress) {

@@ -245,6 +245,24 @@ TEST(Executor, SeedsAcrossQueues) {
   EXPECT_EQ(executed, 30u);
 }
 
+// The owner-push path is gone (EXPERIMENTS.md E21); its three switches stay
+// in ExecutorConfig only at their defaults, and any other value aborts.
+TEST(ExecutorDeath, RemovedDealSwitchesAbortConstruction) {
+  const auto construct = [](const runtime::ExecutorConfig& config) {
+    runtime::Executor executor(policies::MakeThreadCount(), config);
+  };
+  runtime::ExecutorConfig enabled;
+  enabled.deal.enabled = true;
+  EXPECT_DEATH(construct(enabled), "E21");
+  runtime::ExecutorConfig with_sink;
+  const int sink = 0;
+  with_sink.deal_sink = &sink;
+  EXPECT_DEATH(construct(with_sink), "E21");
+  runtime::ExecutorConfig steal_off;
+  steal_off.steal_enabled = false;
+  EXPECT_DEATH(construct(steal_off), "E21");
+}
+
 TEST(ExecutorReport, ThroughputAndToString) {
   runtime::ExecutorConfig config;
   config.num_workers = 2;

@@ -28,7 +28,7 @@ TEST(SimSmoke, StaticImbalanceCompletesAndRebalances) {
   SCOPED_TRACE(m.ToString());
   EXPECT_EQ(m.tasks_completed, 32u);
   EXPECT_GT(m.migrations, 0u);  // tasks spread off cpu0
-  // Ideal makespan = 32 tasks * 10ms / 8 cpus = 40ms; allow generous slack
+  // Perfect-balance makespan = 32 tasks * 10ms / 8 cpus = 40ms; allow generous slack
   // for timeslice and balancing-period quantization.
   EXPECT_LT(m.makespan_us, 80'000u);
   EXPECT_EQ(simulator.machine().TotalTasks(), 0u);

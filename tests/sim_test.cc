@@ -101,7 +101,7 @@ TEST(Simulator, BalancingEliminatesTheWaste) {
   }
   s.Run();
   EXPECT_GT(s.metrics().migrations, 0u);
-  // 8 x 20ms on 4 cpus: ideal 40ms; balancing every 1ms keeps it close.
+  // 8 x 20ms on 4 cpus: perfect balance 40ms; balancing every 1ms keeps it close.
   EXPECT_LT(s.metrics().makespan_us, 60'000u);
   EXPECT_LT(s.accounting().wasted_fraction(), 0.2);
 }
